@@ -96,8 +96,6 @@ def _one_pass(vms: list[BoughtVm]) -> bool:
     ]
     items.sort(key=lambda pair: pair[0].size_key)
     for item, source in items:
-        if item not in source.placed:  # already moved in this pass
-            continue
         destination = _most_wasted_destination(vms, source, item)
         if destination is None:
             continue
@@ -118,10 +116,12 @@ def _most_wasted_destination(
     """
     best: BoughtVm | None = None
     best_waste = source.waste
+    cpu, memory = item.cpu, item.memory
+    # Waste first: the cheapest test, and the one few VMs pass.
     for vm in vms:
-        if vm is source or not vm.fits(item.cpu, item.memory):
-            continue
-        if vm.waste > best_waste + 1e-12:
+        if (vm.waste > best_waste + 1e-12 and vm is not source
+                and cpu <= vm.free_cpu + 1e-12
+                and memory <= vm.free_memory + 1e-12):
             best, best_waste = vm, vm.waste
     return best
 

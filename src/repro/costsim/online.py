@@ -28,7 +28,7 @@ import heapq
 import typing as t
 
 from repro.costsim.packing import BoughtVm, PlacedContainer
-from repro.errors import CapacityError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.sim.rng import RngRegistry
 from repro.traces.aws import cheapest_fitting
 from repro.traces.google import TraceConfig, TracePod, generate_trace
@@ -180,9 +180,12 @@ def _arrive(fleet: _Fleet, location: dict[PlacedContainer, BoughtVm],
     # Whole-pod first (most requested), as in §5.3.1 step 3a.
     target = None
     best = -1.0
+    cpu, memory = pod.cpu, pod.memory
     for vm in fleet.vms:
-        if vm.fits(pod.cpu, pod.memory) and vm.requested_score() > best:
-            target, best = vm, vm.requested_score()
+        if cpu <= vm.free_cpu + 1e-12 and memory <= vm.free_memory + 1e-12:
+            score = vm.requested_score()
+            if score > best:
+                target, best = vm, score
     placed: list[PlacedContainer] = []
     if target is not None:
         for container in pod.containers:
@@ -202,12 +205,12 @@ def _arrive(fleet: _Fleet, location: dict[PlacedContainer, BoughtVm],
         tentative: list[PlacedContainer] = []
         feasible = True
         for item in items:
-            candidates = sorted(fleet.vms, key=lambda v: v.waste,
-                                reverse=True)
-            home = next(
-                (vm for vm in candidates if vm.fits(item.cpu, item.memory)),
-                None,
-            )
+            # The most-wasted fitting VM; the earliest on exact ties.
+            home = None
+            for vm in fleet.vms:
+                if (vm.fits(item.cpu, item.memory)
+                        and (home is None or vm.waste > home.waste)):
+                    home = vm
             if home is None:
                 feasible = False
                 break
@@ -223,10 +226,7 @@ def _arrive(fleet: _Fleet, location: dict[PlacedContainer, BoughtVm],
             location.pop(item).remove(item)
 
     # Buy the cheapest VM that hosts the whole pod (step 3b).
-    try:
-        vm = BoughtVm(cheapest_fitting(pod.cpu, pod.memory))
-    except CapacityError:
-        raise
+    vm = BoughtVm(cheapest_fitting(pod.cpu, pod.memory))
     fleet.buy(vm, now)
     for container in pod.containers:
         item = PlacedContainer(pod.name, container, pod.splittable)
@@ -266,21 +266,19 @@ def _consolidate(fleet: _Fleet,
                 continue
             items = sorted(donor.placed, key=lambda i: i.size_key)
             moved: list[tuple[BoughtVm, PlacedContainer]] = []
-            ok = True
             for item in items:
-                home = next(
-                    (vm for vm in fleet.vms
-                     if vm is not donor and vm.fits(item.cpu, item.memory)),
-                    None,
-                )
-                if home is None:
-                    ok = False
-                    break
+                cpu, memory = item.cpu, item.memory
+                for home in fleet.vms:  # first fit
+                    if (home is not donor and cpu <= home.free_cpu + 1e-12
+                            and memory <= home.free_memory + 1e-12):
+                        break
+                else:
+                    break  # no home for this item: roll back below
                 donor.remove(item)
                 home.place(item)
                 location[item] = home
                 moved.append((home, item))
-            if not ok:
+            if len(moved) < len(items):
                 for home, item in moved:
                     home.remove(item)
                     donor.place(item)

@@ -15,7 +15,7 @@ from repro.costsim.hostlo import split_pod_names
 from repro.costsim.packing import PlacedContainer, total_cost
 from repro.errors import CapacityError, ConfigurationError
 from repro.traces import TraceConfig, generate_trace
-from repro.traces.aws import model
+from repro.traces.aws import M5_CATALOG, model
 from repro.traces.google import TraceContainer, TracePod
 
 
@@ -63,6 +63,61 @@ class TestBoughtVm:
         copy.remove(copy.placed[0])
         assert len(vm.placed) == 1
         assert vm.used_cpu == pytest.approx(0.01)
+
+
+def capacity_state(vm):
+    return (vm.model, vm.name, list(vm.placed), vm.used_cpu,
+            vm.used_memory, vm.free_cpu, vm.free_memory, vm.waste)
+
+
+def assert_capacity_invariant(vm):
+    # Exact: free is always recomputed as cap - used, never adjusted.
+    assert vm.free_cpu == vm.model.cpu_rel - vm.used_cpu
+    assert vm.free_memory == vm.model.memory_rel - vm.used_memory
+    assert vm.waste == vm.free_cpu + vm.free_memory
+    assert abs(vm.used_cpu - sum(i.cpu for i in vm.placed)) <= 1e-9
+    assert abs(vm.used_memory - sum(i.memory for i in vm.placed)) <= 1e-9
+
+
+_REQUEST = st.floats(min_value=0.001, max_value=0.2)
+_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("place"), st.tuples(_REQUEST, _REQUEST)),
+    st.tuples(st.just("remove"), st.integers(min_value=0, max_value=63)),
+    st.tuples(st.just("model"), st.sampled_from(M5_CATALOG)),
+    st.tuples(st.just("clone"), st.tuples(_REQUEST, _REQUEST)),
+), max_size=40)
+
+
+class TestCapacityState:
+    @settings(max_examples=200, deadline=None)
+    @given(_STEPS)
+    def test_invariant_holds_after_every_step(self, steps):
+        vm = BoughtVm(model("4xlarge"))
+        for op, arg in steps:
+            if op == "place":
+                item = PlacedContainer("p", TraceContainer(*arg), True)
+                if vm.fits(item.cpu, item.memory):
+                    vm.place(item)
+                else:
+                    with pytest.raises(CapacityError):
+                        vm.place(item)
+            elif op == "remove" and vm.placed:
+                vm.remove(vm.placed[arg % len(vm.placed)])
+            elif op == "model" and arg.fits(vm.used_cpu, vm.used_memory):
+                vm.model = arg
+            elif op == "clone":
+                before = capacity_state(vm)
+                copy = vm.clone()
+                assert capacity_state(copy) == before
+                assert_capacity_invariant(copy)
+                # Mutating the clone leaves the original untouched.
+                copy.model = model("24xlarge")
+                copy.place(PlacedContainer("q", TraceContainer(*arg), True))
+                copy.remove(copy.placed[0])
+                assert capacity_state(vm) == before
+                assert_capacity_invariant(copy)
+                vm = copy
+            assert_capacity_invariant(vm)
 
 
 class TestKubernetesBaseline:

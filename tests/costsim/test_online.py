@@ -5,11 +5,15 @@ import pytest
 from repro.costsim.online import (
     OnlineConfig,
     PodEvent,
+    _arrive,
+    _Fleet,
     generate_events,
     simulate_online,
 )
+from repro.costsim.packing import BoughtVm, PlacedContainer
 from repro.errors import ConfigurationError
 from repro.traces import TraceConfig
+from repro.traces.aws import model
 from repro.traces.google import TraceContainer, TracePod
 
 
@@ -98,3 +102,22 @@ class TestOnlineSimulation:
         assert outcome.split_placements == 1
         assert outcome.hostlo_buys < outcome.kubernetes_buys
         assert outcome.hostlo_cost < outcome.kubernetes_cost
+
+    def test_split_ties_go_to_the_earliest_vm(self):
+        # Two equally wasted VMs: the smallest container takes the
+        # earlier one (a stable sort by waste, descending, would).
+        fleet = _Fleet()
+        first, second = BoughtVm(model("large")), BoughtVm(model("large"))
+        for vm in (first, second):
+            vm.place(PlacedContainer("filler", TraceContainer(0.01, 0.01),
+                                     True))
+            fleet.buy(vm, 0.0)
+        assert first.waste == second.waste
+        pod = TracePod("split", (TraceContainer(0.009, 0.009),
+                                 TraceContainer(0.008, 0.008)))
+        location = {}
+        placed, did_split = _arrive(fleet, location, pod, 0.0, split=True)
+        assert did_split == 1
+        where = {item.cpu: location[item] for item in placed}
+        assert where[0.008] is first
+        assert where[0.009] is second
